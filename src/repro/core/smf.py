@@ -16,10 +16,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..engine.kernels import KernelContext
+from ..engine.kernels import KernelContext, get_kernel
 from ..exceptions import NotFittedError, ValidationError
 from ..masking.mask import ObservationMask
-from ..spatial.graph_cache import spatial_graph
+from ..spatial.graph_cache import SpatialGraph, spatial_graph
+from ..spatial.neighbors import check_neighbor_method
 from ..validation import check_in_range, check_positive_int, check_spatial_columns
 from .factorization import MatrixFactorizationBase
 
@@ -48,7 +49,10 @@ class SMF(MatrixFactorizationBase):
         Neighbour count ``p`` of the similarity graph (Figure 7;
         ``p = 3`` recommended).
     neighbor_method:
-        k-NN search strategy (``"auto"``, ``"brute"``, ``"kdtree"``).
+        k-NN search strategy (``"auto"``, ``"brute"``, ``"kdtree"``),
+        validated at construction.  SMF builds the ``"masked"`` graph,
+        whose search is always brute force over row blocks, so the
+        value does not change the graph (nor its cache entry).
     **kwargs:
         Forwarded to :class:`MatrixFactorizationBase` (``max_iter``,
         ``tol``, ``update_rule``, ``learning_rate``, ``init``,
@@ -57,11 +61,14 @@ class SMF(MatrixFactorizationBase):
     Attributes (after fit)
     ----------------------
     similarity_:
-        The Formula 3 matrix **D**.
+        The Formula 3 matrix **D**, a read-only ``scipy.sparse`` CSR
+        matrix (a dense array when scipy is not importable).
     degree_:
         The degree vector (diagonal of the Formula 4 matrix **W**).
     laplacian_:
-        ``L = W - D``.
+        ``L = W - D``, read-only CSR like ``similarity_``.  The gradient
+        and stochastic rules apply its dense form
+        (``laplacian_.toarray()``, built once per cached graph).
     """
 
     method = "smf"
@@ -80,12 +87,11 @@ class SMF(MatrixFactorizationBase):
         self.n_spatial = check_positive_int(n_spatial, name="n_spatial")
         self.lam = check_in_range(lam, name="lam", low=0.0)
         self.p_neighbors = check_positive_int(p_neighbors, name="p_neighbors")
-        self.neighbor_method = neighbor_method
-        self.similarity_: np.ndarray | None = None
+        self.neighbor_method = check_neighbor_method(neighbor_method)
+        self.similarity_: object = None
         self.degree_: np.ndarray | None = None
-        self.laplacian_: np.ndarray | None = None
-        self._similarity_op: object = None
-        self._laplacian_op: object = None
+        self.laplacian_: object = None
+        self._graph: SpatialGraph | None = None
 
     def _prepare_fit(
         self, x: np.ndarray, x_observed: np.ndarray, mask: ObservationMask
@@ -95,20 +101,19 @@ class SMF(MatrixFactorizationBase):
         spatial_observed = mask.observed[:, : self.n_spatial]
         # Content-addressed graph cache: λ/p sweeps and repeated seeds
         # over one dataset share the same N² build instead of paying it
-        # per fit.  The returned arrays are read-only and shared; the
-        # `_op` views are the sparse O(p N K) per-iteration operators
-        # (dense fallback when scipy is absent).
+        # per fit.  The returned operators are read-only, shared, and
+        # sparse: the O(p N K) per-iteration operators (dense fallback
+        # when scipy is absent).
         graph = spatial_graph(
             spatial,
             self.p_neighbors,
             observed=spatial_observed,
             method=self.neighbor_method,
         )
+        self._graph = graph
         self.similarity_ = graph.similarity
         self.degree_ = graph.degree
         self.laplacian_ = graph.laplacian
-        self._similarity_op = graph.similarity_op
-        self._laplacian_op = graph.laplacian_op
 
     def _objective(
         self,
@@ -119,24 +124,34 @@ class SMF(MatrixFactorizationBase):
     ) -> float:
         value = self._data_term(x, u, v, observed)
         if self.lam != 0.0:
-            assert self._laplacian_op is not None
+            assert self.laplacian_ is not None
             # Sparse quadratic form: equals smoothness_penalty(u, L)
             # but costs O(p N K) instead of O(N^2 K) per evaluation.
-            penalty = float(np.sum(u * np.asarray(self._laplacian_op @ u)))
+            penalty = float(np.sum(u * np.asarray(self.laplacian_ @ u)))
             value += self.lam * max(penalty, 0.0)
         return value
 
-    def _kernel_context(self, v_shape: tuple[int, int]) -> KernelContext:
-        if self.similarity_ is None or self.degree_ is None or self.laplacian_ is None:
+    def _kernel_laplacian(self) -> np.ndarray | None:
+        """The dense Laplacian when the update rule applies one (and
+        ``lam != 0``), else None.
+
+        The multiplicative kernel consumes the sparse similarity and
+        degree only; the gradient and stochastic kernels consume the
+        *dense* Laplacian (exactly the operator the pre-engine code
+        used, preserving numerics), materialised once per cached graph.
+        """
+        if self._graph is None:
             raise ValidationError("fit must prepare the spatial graph first")
-        # The multiplicative kernel consumes the sparse similarity view;
-        # the gradient kernel consumes the *dense* Laplacian (exactly
-        # the operators the pre-engine code used, preserving numerics).
+        if self.lam != 0.0 and get_kernel(self.update_rule).needs_dense_laplacian:
+            return self._graph.dense_laplacian()
+        return None
+
+    def _kernel_context(self, v_shape: tuple[int, int]) -> KernelContext:
         return KernelContext(
             lam=self.lam,
-            similarity=self._similarity_op,
+            similarity=self.similarity_,
             degree=self.degree_,
-            laplacian=self.laplacian_,
+            laplacian=self._kernel_laplacian(),
             learning_rate=self.learning_rate,
             frozen_v=self._frozen_v_mask(v_shape),
             scheduler=self._scheduler,
@@ -148,18 +163,16 @@ class SMF(MatrixFactorizationBase):
         """Batched-engine mirror of :meth:`_kernel_context` + :meth:`_objective`.
 
         Same operator choices as the looped fit: the multiplicative
-        kernel and the objective penalty consume the *sparse* views,
+        kernel and the objective penalty consume the *sparse* operators,
         the gradient kernel the dense Laplacian — so the batched per-fit
         graph terms run in the exact reference op order.
         """
-        if self.similarity_ is None or self.degree_ is None or self.laplacian_ is None:
-            raise ValidationError("fit must prepare the spatial graph first")
         return {
             "lam": self.lam,
-            "similarity": self._similarity_op,
+            "similarity": self.similarity_,
             "degree": self.degree_,
-            "laplacian": self.laplacian_,
-            "penalty_op": self._laplacian_op,
+            "laplacian": self._kernel_laplacian(),
+            "penalty_op": self.laplacian_,
         }
 
     def feature_locations(self) -> np.ndarray:

@@ -73,6 +73,10 @@ class UpdateKernel:
 
     #: Registry key, set by :func:`register_kernel`.
     name: str = ""
+    #: Whether the kernel applies ``ctx.laplacian`` as a dense matrix.
+    #: Models hand the dense Laplacian only to kernels that set this;
+    #: the others get the sparse operators alone.
+    needs_dense_laplacian: bool = False
 
     def step(
         self,
@@ -146,6 +150,8 @@ class MultiplicativeKernel(UpdateKernel):
 class GradientKernel(UpdateKernel):
     """Section III-B1: projected gradient descent with a global step
     size (Figure 5's SMF-GD)."""
+
+    needs_dense_laplacian = True
 
     def step(
         self,

@@ -416,6 +416,8 @@ class SGDKernel(UpdateKernel):
     ``batch_size=N`` case coincide with the ``gradient`` kernel.
     """
 
+    needs_dense_laplacian = True
+
     def step(
         self,
         x_observed: np.ndarray,
@@ -469,6 +471,8 @@ class SVRGKernel(UpdateKernel):
     are separable, so their correction cancels identically and the
     ``U`` step equals the SGD step (see module docstring).
     """
+
+    needs_dense_laplacian = True
 
     def step(
         self,

@@ -5,10 +5,12 @@ This subpackage implements everything Section II-C of the paper needs:
 - pairwise distance computation (:mod:`repro.spatial.distances`),
 - a from-scratch KD-tree for nearest-neighbour queries
   (:mod:`repro.spatial.kdtree`),
-- ``p``-nearest-neighbour search (:mod:`repro.spatial.neighbors`),
-- the symmetric p-NN similarity matrix **D** of Formula 3
-  (:mod:`repro.spatial.similarity`), and
-- the degree matrix **W** (Formula 4) and graph Laplacian **L = W - D**
+- ``p``-nearest-neighbour search with an exact top-``p`` selection
+  (:mod:`repro.spatial.neighbors`),
+- the symmetric p-NN similarity matrix **D** of Formula 3, from a
+  row-blocked masked search (:mod:`repro.spatial.similarity`),
+- the degree matrix **W** (Formula 4) and graph Laplacian **L = W - D**,
+  assembled as CSR without any ``N x N`` array
   (:mod:`repro.spatial.laplacian`), and
 - a content-addressed cache of the whole graph build so sweeps over one
   dataset pay the ``N^2`` construction once
@@ -23,9 +25,14 @@ from .graph_cache import (
     spatial_graph,
 )
 from .kdtree import KDTree
-from .neighbors import knn_indices
-from .laplacian import degree_matrix, graph_laplacian, laplacian_from_points
-from .similarity import knn_similarity_matrix, prepare_spatial_coordinates
+from .neighbors import knn_indices, smallest_p_stable
+from .laplacian import (
+    degree_matrix,
+    graph_laplacian,
+    laplacian_from_points,
+    sparse_graph_from_points,
+)
+from .similarity import knn_neighbors, knn_similarity_matrix, prepare_spatial_coordinates
 
 __all__ = [
     "SpatialGraph",
@@ -37,9 +44,12 @@ __all__ = [
     "pairwise_sq_euclidean",
     "KDTree",
     "knn_indices",
+    "knn_neighbors",
     "knn_similarity_matrix",
+    "smallest_p_stable",
     "prepare_spatial_coordinates",
     "degree_matrix",
     "graph_laplacian",
     "laplacian_from_points",
+    "sparse_graph_from_points",
 ]

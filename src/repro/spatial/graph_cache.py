@@ -1,6 +1,6 @@
 """Content-addressed cache of the spatial similarity/Laplacian build.
 
-The ``N²`` p-NN graph build (Proposition 1's ``N²·L`` term) is a pure
+The p-NN graph build (Proposition 1's ``N²·L`` term) is a pure
 function of the spatial coordinates, the observation mask over them,
 ``p``, and the neighbour-search options — yet every model fit used to
 rebuild it from scratch.  A λ or missing-rate sweep over one dataset
@@ -14,6 +14,16 @@ returned read-only and shared between fits; :class:`repro.core.smf.SMF`
 pulls from here, which makes the reuse automatic for every runner cell,
 λ value, seed, and SMF/SMFL variant that shares a dataset and ``p``.
 
+A miss builds the graph with
+:func:`repro.spatial.laplacian.sparse_graph_from_points`: the default
+``"masked"`` search evaluates its distances in row blocks with an exact
+top-``p`` selection per block, and **D** and ``L = W - D`` are
+assembled directly as CSR — no ``N x N`` array is allocated.  The
+dense Laplacian that the gradient and stochastic update rules consume
+is materialised from the CSR on first request
+(:meth:`SpatialGraph.dense_laplacian`) and kept with the entry, so the
+multiplicative rule never pays for it.
+
 Hits and misses are counted on the ambient metrics registry
 (``spatial_graph_cache.hits`` / ``.misses``, see :mod:`repro.obs`).
 """
@@ -23,12 +33,13 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..obs.metrics import get_metrics
-from .laplacian import laplacian_from_points
+from .laplacian import dense_operator, sparse_graph_from_points
+from .neighbors import check_neighbor_method
 
 __all__ = ["SpatialGraph", "spatial_graph", "clear_graph_cache", "graph_cache_info"]
 
@@ -39,21 +50,34 @@ _LOCK = threading.Lock()
 _CACHE: "OrderedDict[str, SpatialGraph]" = OrderedDict()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpatialGraph:
     """One cached graph build; all arrays are read-only and shared.
 
-    ``degree`` is the degree *vector* (the diagonal of the paper's
-    Formula 4 matrix **W**).  ``similarity_op``/``laplacian_op`` are
-    scipy CSR views when scipy is importable (the ``O(p N K)``
-    per-iteration operators), else the dense arrays.
+    ``similarity`` (the Formula 3 matrix **D**) and ``laplacian``
+    (``L = W - D``) are scipy CSR matrices — the ``O(p N K)``
+    per-iteration operators — or the equal dense arrays when scipy is
+    not importable.  ``degree`` is the degree *vector* (the diagonal of
+    the paper's Formula 4 matrix **W**).
     """
 
-    similarity: np.ndarray
+    similarity: object
     degree: np.ndarray
-    laplacian: np.ndarray
-    similarity_op: object
-    laplacian_op: object
+    laplacian: object
+    _dense_laplacian: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def dense_laplacian(self) -> np.ndarray:
+        """``L`` as a dense read-only array, built on first call and kept.
+
+        Bit-identical to ``laplacian.toarray()``; for the update rules
+        that apply the Laplacian as a dense matrix.
+        """
+        with _LOCK:
+            if self._dense_laplacian is None:
+                dense = dense_operator(self.laplacian)
+                dense.setflags(write=False)
+                object.__setattr__(self, "_dense_laplacian", dense)
+            return self._dense_laplacian
 
 
 def _graph_key(
@@ -63,8 +87,11 @@ def _graph_key(
     method: str,
     missing_strategy: str,
 ) -> str:
+    # The masked search is always brute force: ``method`` cannot change
+    # its graph, so it stays out of the key there.
+    search = method if missing_strategy == "column-mean" else None
     h = hashlib.sha256()
-    h.update(repr((spatial.shape, str(spatial.dtype), int(p), method,
+    h.update(repr((spatial.shape, str(spatial.dtype), int(p), search,
                    missing_strategy)).encode())
     h.update(spatial.tobytes())
     if observed is None:
@@ -75,6 +102,15 @@ def _graph_key(
     return h.hexdigest()
 
 
+def _read_only(operator: object) -> None:
+    arrays = (
+        (operator,) if isinstance(operator, np.ndarray)
+        else (operator.data, operator.indices, operator.indptr)
+    )
+    for arr in arrays:
+        arr.setflags(write=False)
+
+
 def _build(
     spatial: np.ndarray,
     p: int,
@@ -82,28 +118,14 @@ def _build(
     method: str,
     missing_strategy: str,
 ) -> SpatialGraph:
-    similarity, degree, laplacian = laplacian_from_points(
+    similarity, degree, laplacian = sparse_graph_from_points(
         spatial, p, observed=observed, method=method,
         missing_strategy=missing_strategy,
     )
-    degree_vec = np.diag(degree).copy()
-    try:
-        from scipy import sparse
-
-        similarity_op: object = sparse.csr_matrix(similarity)
-        laplacian_op: object = sparse.csr_matrix(laplacian)
-    except ImportError:  # pragma: no cover - scipy is a soft dependency
-        similarity_op = similarity
-        laplacian_op = laplacian
-    for arr in (similarity, degree_vec, laplacian):
-        arr.setflags(write=False)
-    return SpatialGraph(
-        similarity=similarity,
-        degree=degree_vec,
-        laplacian=laplacian,
-        similarity_op=similarity_op,
-        laplacian_op=laplacian_op,
-    )
+    _read_only(similarity)
+    _read_only(laplacian)
+    degree.setflags(write=False)
+    return SpatialGraph(similarity=similarity, degree=degree, laplacian=laplacian)
 
 
 def spatial_graph(
@@ -117,9 +139,11 @@ def spatial_graph(
     """The ``(D, W, L)`` build for these exact inputs, cached.
 
     Same contract as
-    :func:`repro.spatial.laplacian.laplacian_from_points` (which does
-    the building on a miss), with the degree returned as a vector.
+    :func:`repro.spatial.laplacian.sparse_graph_from_points` (which
+    does the building on a miss).  ``method`` is validated but only
+    keys and affects the ``"column-mean"`` graph.
     """
+    check_neighbor_method(method)
     spatial = np.asarray(spatial, dtype=np.float64)
     key = _graph_key(spatial, p, observed, method, missing_strategy)
     with _LOCK:

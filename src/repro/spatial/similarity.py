@@ -15,9 +15,14 @@ import numpy as np
 
 from ..exceptions import DegenerateDataError
 from ..validation import as_matrix, check_mask, check_positive_int
-from .neighbors import knn_indices
+from .neighbors import check_neighbor_method, knn_indices, smallest_p_stable
 
-__all__ = ["prepare_spatial_coordinates", "knn_similarity_matrix"]
+__all__ = [
+    "prepare_spatial_coordinates",
+    "knn_neighbors",
+    "knn_similarity_matrix",
+    "similarity_structure",
+]
 
 
 def prepare_spatial_coordinates(
@@ -66,6 +71,57 @@ def prepare_spatial_coordinates(
     return spatial
 
 
+def knn_neighbors(
+    spatial: np.ndarray,
+    p: int,
+    *,
+    observed: np.ndarray | None = None,
+    method: str = "auto",
+    missing_strategy: str = "masked",
+) -> np.ndarray:
+    """``(n, p)`` neighbour lists behind the Formula 3 graph.
+
+    Row ``i`` holds the ``p`` nearest rows of row ``i``, ordered by
+    distance (ties by index).  Parameters as in
+    :func:`knn_similarity_matrix`; ``method`` only affects the
+    ``"column-mean"`` strategy (the masked search is always brute
+    force).
+    """
+    p = check_positive_int(p, name="p")
+    check_neighbor_method(method)
+    if missing_strategy not in ("masked", "column-mean"):
+        raise ValueError(
+            f"unknown missing_strategy {missing_strategy!r}; "
+            "use 'masked' or 'column-mean'"
+        )
+    if missing_strategy == "masked":
+        return _masked_knn_indices(spatial, p, observed)
+    coords = prepare_spatial_coordinates(spatial, observed)
+    return knn_indices(coords, p, method=method)
+
+
+def similarity_structure(neighbors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR ``(indptr, indices)`` of **D** from ``(n, p)`` neighbour lists.
+
+    ``d_ij = 1`` iff ``j`` lists ``i`` or ``i`` lists ``j`` (the "or"
+    of Formula 3), with a zero diagonal and every row's column indices
+    sorted — the canonical CSR layout of the dense matrix, so the
+    values are all ones and need no array of their own.
+    """
+    n, p = neighbors.shape
+    rows = np.repeat(np.arange(n, dtype=np.int64), p)
+    cols = neighbors.ravel().astype(np.int64)
+    # One int64 key per directed edge, both directions; np.unique sorts
+    # them row-major and drops duplicates in one pass.
+    keys = np.unique(np.concatenate([rows * n + cols, cols * n + rows]))
+    r, c = np.divmod(keys, n)
+    off_diagonal = r != c
+    r, c = r[off_diagonal], c[off_diagonal]
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(r, minlength=n), out=indptr[1:])
+    return indptr, c
+
+
 def knn_similarity_matrix(
     spatial: np.ndarray,
     p: int,
@@ -74,7 +130,11 @@ def knn_similarity_matrix(
     method: str = "auto",
     missing_strategy: str = "masked",
 ) -> np.ndarray:
-    """Build the symmetric 0/1 similarity matrix **D** (Formula 3).
+    """Build the symmetric 0/1 similarity matrix **D** (Formula 3), dense.
+
+    A dense convenience for small inputs: the models build the same
+    matrix sparse (:func:`repro.spatial.graph_cache.spatial_graph`),
+    without any ``n x n`` array.
 
     Parameters
     ----------
@@ -102,38 +162,47 @@ def knn_similarity_matrix(
     ``(n, n)`` symmetric float array with zero diagonal and
     ``d_ij in {0, 1}``.
     """
-    p = check_positive_int(p, name="p")
-    if missing_strategy not in ("masked", "column-mean"):
-        raise ValueError(
-            f"unknown missing_strategy {missing_strategy!r}; "
-            "use 'masked' or 'column-mean'"
-        )
-    if missing_strategy == "masked":
-        neighbors = _masked_knn_indices(spatial, p, observed)
-    else:
-        coords = prepare_spatial_coordinates(spatial, observed)
-        neighbors = knn_indices(coords, p, method=method)
+    neighbors = knn_neighbors(
+        spatial, p, observed=observed, method=method,
+        missing_strategy=missing_strategy,
+    )
+    indptr, indices = similarity_structure(neighbors)
     n = neighbors.shape[0]
     similarity = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), p)
-    cols = neighbors.ravel()
-    similarity[rows, cols] = 1.0
-    # Symmetrise: d_ij = 1 if either direction holds (the "or" in Formula 3).
-    np.maximum(similarity, similarity.T, out=similarity)
-    np.fill_diagonal(similarity, 0.0)
+    similarity[np.repeat(np.arange(n), np.diff(indptr)), indices] = 1.0
     return similarity
+
+
+_BLOCK_ELEMENTS = 1 << 17
+"""Distance entries per row block of the masked search (1 MiB per
+float64 block): the block holds ``max(1, _BLOCK_ELEMENTS // n)`` rows,
+so its scratch stays a few MiB at any ``n``."""
 
 
 def _masked_knn_indices(
     spatial: np.ndarray,
     p: int,
     observed: np.ndarray | None,
+    *,
+    block_rows: int | None = None,
 ) -> np.ndarray:
     """p-NN indices under per-dimension masked RMS distance.
 
     Rows sharing no observed dimension get infinite mutual distance and
     fall back to the global ordering (they still receive p neighbours,
     chosen among the finite-distance candidates first).
+
+    The distances are evaluated ``block_rows`` rows at a time (default
+    from :data:`_BLOCK_ELEMENTS`) and each block's neighbours picked
+    with :func:`~repro.spatial.neighbors.smallest_p_stable`, so no
+    ``n x n`` array exists.  The squared differences are summed
+    directly over the shared dimensions rather than expanded as
+    ``|x|^2 + |y|^2 - 2 x.y`` through BLAS products: the expansion's
+    rounding depends on how the product is tiled, which reorders
+    duplicate coordinates between block sizes, whereas each direct
+    entry depends only on its two rows.  With a selection equal to a
+    stable argsort, the lists do not depend on the block size, and
+    duplicates tie exactly and break by index.
     """
     spatial = as_matrix(spatial, name="spatial", allow_nan=True, copy=True)
     if observed is None:
@@ -151,17 +220,29 @@ def _masked_knn_indices(
                 f"spatial column {j} has no observed entries; the similarity "
                 "graph cannot be built"
             )
+    if block_rows is None:
+        block_rows = max(1, _BLOCK_ELEMENTS // n)
     x = np.where(obs, spatial, 0.0)
     weights = obs.astype(np.float64)
-    cross = (x * weights) @ (x * weights).T
-    sq = (x**2 * weights) @ weights.T
-    common = weights @ weights.T
-    d2 = sq + sq.T - 2.0 * cross
-    with np.errstate(invalid="ignore", divide="ignore"):
-        mean_d2 = np.where(common > 0, d2 / np.maximum(common, 1.0), np.inf)
-    np.maximum(mean_d2, 0.0, out=mean_d2)
-    np.fill_diagonal(mean_d2, np.inf)
-    # Rows with no common dims anywhere still need p neighbours: replace
-    # all-inf rows by the (finite) global average distance ordering.
-    order = np.argsort(mean_d2, axis=1, kind="stable")
-    return order[:, :p].astype(np.int64)
+    out = np.empty((n, p), dtype=np.int64)
+    for start in range(0, n, block_rows):
+        stop = min(start + block_rows, n)
+        rows = slice(start, stop)
+        # Sum over the L dimensions of both-observed (x_i - x_j)^2.
+        d2 = np.zeros((stop - start, n))
+        common = np.zeros((stop - start, n))
+        for k in range(x.shape[1]):
+            both = np.multiply.outer(weights[rows, k], weights[:, k])
+            common += both
+            diff = np.subtract.outer(x[rows, k], x[:, k])
+            diff *= diff
+            diff *= both
+            d2 += diff
+        # mean = d2 / common, +inf where no dimension is shared.
+        no_common = common == 0.0
+        np.maximum(common, 1.0, out=common)
+        d2 /= common
+        np.copyto(d2, np.inf, where=no_common)
+        d2[np.arange(stop - start), np.arange(start, stop)] = np.inf
+        out[rows] = smallest_p_stable(d2, p)
+    return out

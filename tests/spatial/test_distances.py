@@ -142,8 +142,7 @@ class TestChunkedKnnBrute:
         pts = rng.random((90, 2))
         one_shot = neighbors._knn_brute(pts, 5)
         # Shrink the chunk threshold so the same points take the
-        # row-blocked path (random coordinates have no distance ties,
-        # so last-ulp gemm differences cannot reorder neighbours).
+        # row-blocked path.
         monkeypatch.setattr(neighbors, "DISTANCE_CHUNK_ROWS", 32)
         chunked = neighbors._knn_brute(pts, 5)
         assert np.array_equal(chunked, one_shot)

@@ -37,9 +37,9 @@ class TestHitIdentity:
     def test_matches_uncached_build(self, points):
         graph = spatial_graph(points, 3)
         similarity, degree, laplacian = laplacian_from_points(points, 3)
-        assert np.array_equal(graph.similarity, similarity)
+        assert np.array_equal(graph.similarity.toarray(), similarity)
         assert np.array_equal(graph.degree, np.diag(degree))
-        assert np.array_equal(graph.laplacian, laplacian)
+        assert np.array_equal(graph.laplacian.toarray(), laplacian)
 
     def test_copy_of_coordinates_still_hits(self, points):
         # Content addressing: the key is the bytes, not the object.
@@ -63,17 +63,31 @@ class TestKeySensitivity:
         assert with_mask is not without
 
     def test_method_and_strategy_participate(self, points):
-        a = spatial_graph(points, 3, method="brute")
-        b = spatial_graph(points, 3, method="kdtree")
+        a = spatial_graph(points, 3, method="brute", missing_strategy="column-mean")
+        b = spatial_graph(points, 3, method="kdtree", missing_strategy="column-mean")
         assert a is not b
+        assert spatial_graph(points, 3, method="brute") is not a
+
+    def test_method_left_out_of_masked_key(self, points):
+        # The masked search ignores `method`: one entry serves them all.
+        graphs = [spatial_graph(points, 3, method=m) for m in ("auto", "brute", "kdtree")]
+        assert graphs[1] is graphs[0] and graphs[2] is graphs[0]
+        assert graph_cache_info()["entries"] == 1
+
+    def test_unknown_method_rejected(self, points):
+        with pytest.raises(ValueError, match="unknown method"):
+            spatial_graph(points, 3, method="bogus")
 
 
 class TestSharedEntriesAreReadOnly:
     def test_arrays_reject_writes(self, points):
         graph = spatial_graph(points, 3)
-        for arr in (graph.similarity, graph.degree, graph.laplacian):
+        arrays = [graph.degree, graph.dense_laplacian()]
+        for op in (graph.similarity, graph.laplacian):
+            arrays += [op.data, op.indices, op.indptr]
+        for arr in arrays:
             with pytest.raises(ValueError):
-                arr[0] = 1.0
+                arr[0] = 1
 
 
 class TestEvictionAndClear:
@@ -104,3 +118,32 @@ class TestEvictionAndClear:
         clear_graph_cache()
         assert graph_cache_info()["entries"] == 0
         assert spatial_graph(points, 3) is not graph
+
+
+class TestDenseLaplacian:
+    def test_built_once_under_concurrent_first_calls(self, points):
+        import sys
+        import threading
+
+        graph = spatial_graph(points, 3)
+        results = []
+        barrier = threading.Barrier(8)
+
+        def first_call():
+            barrier.wait(timeout=10)
+            results.append(graph.dense_laplacian())
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=first_call) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(results) == 8
+        assert all(r is results[0] for r in results)
+        assert np.array_equal(results[0], graph.laplacian.toarray())
