@@ -21,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..clustering.kmeans import KMeans
+from ..engine import IterativeEngine, Solver, Telemetry
 from ..exceptions import ValidationError
 from ..masking.mask import ObservationMask
 from ..validation import check_positive_int, resolve_rng
@@ -28,6 +29,92 @@ from .base import Imputer, column_mean_fill
 from .neural import MLP, Adam
 
 __all__ = ["CAMFImputer"]
+
+
+class _CAMFSolver(Solver):
+    """One alternating epoch: a discriminator step, then a (U, V) step.
+
+    The state is the factor pair ``(U, V)``; the discriminator and its
+    optimiser live on the solver.  Training runs for a fixed epoch
+    budget (``converged`` always says "keep going"); the monitored
+    objective is the squared observed-cell reconstruction error
+    ``||P_Omega(UV - X)||^2`` of the factors the epoch started from.
+    """
+
+    name = "camf"
+
+    def __init__(
+        self,
+        imputer: "CAMFImputer",
+        x_observed: np.ndarray,
+        observed: np.ndarray,
+        filled: np.ndarray,
+        clusters: np.ndarray,
+        rng: np.random.Generator,
+    ) -> None:
+        m = x_observed.shape[1]
+        self.imputer = imputer
+        self.x_observed = x_observed
+        self.observed = observed
+        self.filled = filled
+        self.clusters = clusters
+        # The clustering is fixed, so each centroid's member rows are too.
+        self.members = [
+            np.flatnonzero(clusters == c) for c in range(imputer.n_clusters)
+        ]
+        self.discriminator = MLP(
+            [m, max(m, 4), 1],
+            hidden_activation="relu",
+            output_activation="sigmoid",
+            random_state=rng,
+        )
+        self.d_opt = Adam(imputer.learning_rate)
+        self.real_grads = np.empty_like(self.discriminator.grads)
+        self.loss = float("nan")
+
+    def step(self, state):
+        u, v = state
+        imputer = self.imputer
+        disc = self.discriminator
+        n = u.shape[0]
+        eps = 1e-7
+        recon = u @ v
+        residual = self.observed * (recon - self.x_observed)
+        self.loss = float(np.vdot(residual, residual))
+
+        # Cluster centroids of the current row factors.
+        centroids = np.zeros((imputer.n_clusters, u.shape[1]))
+        for c, rows in enumerate(self.members):
+            if rows.size:
+                centroids[c] = u[rows].mean(axis=0)
+
+        # ------------------------- discriminator step
+        # Real and fake passes accumulate into one flat gradient.
+        d_real = disc.forward(self.filled)
+        disc.backward(-(1.0 / np.clip(d_real, eps, 1.0)) / n, input_grad=False)
+        self.real_grads[...] = disc.grads
+        d_fake = disc.forward(recon)
+        disc.backward((1.0 / np.clip(1.0 - d_fake, eps, 1.0)) / n, input_grad=False)
+        disc.grads += self.real_grads
+        self.d_opt.step(disc.params, disc.grads)
+
+        # ------------------------- generator (U, V) step
+        d_fake = disc.forward(recon)
+        grad_adv_out = -imputer.beta * (1.0 / np.clip(d_fake, eps, 1.0)) / n
+        grad_recon_adv = disc.backward(grad_adv_out, param_grads=False)
+
+        grad_recon = 2.0 * residual + grad_recon_adv
+        grad_u = grad_recon @ v.T + 2.0 * imputer.gamma * (u - centroids[self.clusters])
+        grad_v = u.T @ grad_recon
+        u = np.maximum(u - imputer.learning_rate * grad_u, 0.0)
+        v = np.maximum(v - imputer.learning_rate * grad_v, 0.0)
+        return u, v
+
+    def objective(self, state) -> float:
+        return self.loss
+
+    def converged(self, state, monitor) -> bool:
+        return False
 
 
 class CAMFImputer(Imputer):
@@ -90,47 +177,11 @@ class CAMFImputer(Imputer):
         scale = np.sqrt(max(float(filled.mean()), 1e-3) / rank)
         u = rng.random((n, rank)) * scale
         v = rng.random((rank, m)) * scale
-        discriminator = MLP(
-            [m, max(m, 4), 1],
-            hidden_activation="relu",
-            output_activation="sigmoid",
-            random_state=rng,
+        solver = _CAMFSolver(self, x_observed, observed, filled, clusters, rng)
+        telemetry = Telemetry(method=self.name, track_deltas=False)
+        engine = IterativeEngine(
+            max_iter=self.n_epochs, tol=0.0, callbacks=(telemetry,)
         )
-        d_opt = Adam(self.learning_rate)
-        eps = 1e-7
-
-        for _ in range(self.n_epochs):
-            recon = u @ v
-            residual = observed * (recon - x_observed)
-
-            # Cluster centroids of the current row factors.
-            centroids = np.zeros((self.n_clusters, rank))
-            for c in range(self.n_clusters):
-                members = clusters == c
-                if members.any():
-                    centroids[c] = u[members].mean(axis=0)
-
-            # ------------------------- discriminator step
-            real_rows = filled
-            fake_rows = recon
-            d_real = discriminator.forward(real_rows)
-            grad_real = -(1.0 / np.clip(d_real, eps, 1.0)) / n
-            d_grads_real, _ = discriminator.backward(grad_real)
-            d_fake = discriminator.forward(fake_rows)
-            grad_fake = (1.0 / np.clip(1.0 - d_fake, eps, 1.0)) / n
-            d_grads_fake, _ = discriminator.backward(grad_fake)
-            d_grads = [a + b for a, b in zip(d_grads_real, d_grads_fake)]
-            discriminator.apply_updates(d_opt.step(discriminator.parameters, d_grads))
-
-            # ------------------------- generator (U, V) step
-            d_fake = discriminator.forward(recon)
-            grad_adv_out = -self.beta * (1.0 / np.clip(d_fake, eps, 1.0)) / n
-            _, grad_recon_adv = discriminator.backward(grad_adv_out)
-
-            grad_recon = 2.0 * residual + grad_recon_adv
-            grad_u = grad_recon @ v.T + 2.0 * self.gamma * (u - centroids[clusters])
-            grad_v = u.T @ grad_recon
-            u = np.maximum(u - self.learning_rate * grad_u, 0.0)
-            v = np.maximum(v - self.learning_rate * grad_v, 0.0)
-
+        u, v = engine.run(solver, (u, v)).state
+        self.fit_report_ = telemetry.report()
         return u @ v

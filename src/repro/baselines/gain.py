@@ -69,6 +69,10 @@ class _GAINSolver(Solver):
         self.g_opt = Adam(imputer.learning_rate)
         self.d_opt = Adam(imputer.learning_rate)
         self.batch = min(imputer.batch_size, n)
+        # Network inputs [x_tilde | m] and [x_hat | hint], filled in place
+        # each epoch; the networks cache them until their backward pass.
+        self.g_input = np.empty((self.batch, 2 * m))
+        self.d_input = np.empty((self.batch, 2 * m))
         self.d_loss = float("nan")
 
     def step(self, state):
@@ -79,41 +83,43 @@ class _GAINSolver(Solver):
         idx = rng.choice(self.n_rows, size=self.batch, replace=False)
         x_b = self.x_observed[idx]
         m_b = self.observed[idx]
+        not_m = 1.0 - m_b
+        observed_part = m_b * x_b
         noise = rng.uniform(0.0, 0.01, size=x_b.shape)
-        x_tilde = m_b * x_b + (1.0 - m_b) * noise
-        hint_bits = (rng.random(x_b.shape) < imputer.hint_rate).astype(np.float64)
-        hint = hint_bits * m_b + 0.5 * (1.0 - hint_bits)
+        self.g_input[:, :m] = observed_part + not_m * noise
+        self.g_input[:, m:] = m_b
+        # Hint: the true mask bit where revealed, 0.5 elsewhere.
+        revealed = rng.random(x_b.shape) < imputer.hint_rate
+        self.d_input[:, m:] = np.where(revealed, m_b, 0.5)
 
         # ---------------------------- discriminator step
-        g_out = self.generator.forward(np.hstack([x_tilde, m_b]))
-        x_hat = m_b * x_b + (1.0 - m_b) * g_out
-        d_prob = self.discriminator.forward(np.hstack([x_hat, hint]))
+        # G is not updated until the generator step, so this one forward
+        # pass (output and cached activations) serves both steps.
+        g_out = self.generator.forward(self.g_input)
+        self.d_input[:, :m] = observed_part + not_m * g_out
+        d_prob = self.discriminator.forward(self.d_input)
         d_prob_c = np.clip(d_prob, eps, 1.0 - eps)
         self.d_loss = binary_cross_entropy(d_prob, m_b)
         # BCE gradient wrt D output, averaged over cells.
         grad_d = (d_prob_c - m_b) / (d_prob_c * (1.0 - d_prob_c)) / d_prob.size
-        d_grads, _ = self.discriminator.backward(grad_d)
-        self.discriminator.apply_updates(
-            self.d_opt.step(self.discriminator.parameters, d_grads)
-        )
+        self.discriminator.backward(grad_d, input_grad=False)
+        self.d_opt.step(self.discriminator.params, self.discriminator.grads)
 
         # ---------------------------- generator step
-        g_out = self.generator.forward(np.hstack([x_tilde, m_b]))
-        x_hat = m_b * x_b + (1.0 - m_b) * g_out
-        d_prob = self.discriminator.forward(np.hstack([x_hat, hint]))
+        d_prob = self.discriminator.forward(self.d_input)
         d_prob_c = np.clip(d_prob, eps, 1.0 - eps)
         # Adversarial: G wants D to believe missing cells are observed,
         # loss = -mean((1-m) log D); gradient flows through x_hat.
-        n_missing = max(float((1.0 - m_b).sum()), 1.0)
-        grad_adv_out = -(1.0 - m_b) / d_prob_c / n_missing
-        _, grad_d_input = self.discriminator.backward(grad_adv_out)
+        n_missing = max(float(not_m.sum()), 1.0)
+        grad_adv_out = -not_m / d_prob_c / n_missing
+        grad_d_input = self.discriminator.backward(grad_adv_out, param_grads=False)
         grad_xhat = grad_d_input[:, :m]
         # Reconstruction on observed cells.
         n_obs = max(float(m_b.sum()), 1.0)
         grad_rec = 2.0 * imputer.alpha * m_b * (g_out - x_b) / n_obs
-        grad_g_out = grad_xhat * (1.0 - m_b) + grad_rec
-        g_grads, _ = self.generator.backward(grad_g_out)
-        self.generator.apply_updates(self.g_opt.step(self.generator.parameters, g_grads))
+        grad_g_out = grad_xhat * not_m + grad_rec
+        self.generator.backward(grad_g_out, input_grad=False)
+        self.g_opt.step(self.generator.params, self.generator.grads)
         return state
 
     def objective(self, state) -> float:

@@ -69,6 +69,9 @@ class SMF(MatrixFactorizationBase):
         ``L = W - D``, read-only CSR like ``similarity_``.  The gradient
         and stochastic rules apply its dense form
         (``laplacian_.toarray()``, built once per cached graph).
+
+    At ``lam == 0`` the spatial term vanishes, no graph is built, and
+    all three stay ``None``.
     """
 
     method = "smf"
@@ -97,6 +100,12 @@ class SMF(MatrixFactorizationBase):
         self, x: np.ndarray, x_observed: np.ndarray, mask: ObservationMask
     ) -> None:
         check_spatial_columns(self.n_spatial, x.shape[1])
+        if self.lam == 0.0:
+            # No kernel, objective or batched term reads the graph at
+            # lam == 0, so the N^2 build is skipped altogether.
+            self._graph = None
+            self.similarity_ = self.degree_ = self.laplacian_ = None
+            return
         spatial = x[:, : self.n_spatial]
         spatial_observed = mask.observed[:, : self.n_spatial]
         # Content-addressed graph cache: λ/p sweeps and repeated seeds
@@ -133,16 +142,18 @@ class SMF(MatrixFactorizationBase):
 
     def _kernel_laplacian(self) -> np.ndarray | None:
         """The dense Laplacian when the update rule applies one (and
-        ``lam != 0``), else None.
+        ``lam != 0``), else None (at ``lam == 0`` no graph is built).
 
         The multiplicative kernel consumes the sparse similarity and
         degree only; the gradient and stochastic kernels consume the
         *dense* Laplacian (exactly the operator the pre-engine code
         used, preserving numerics), materialised once per cached graph.
         """
+        if self.lam == 0.0:
+            return None
         if self._graph is None:
             raise ValidationError("fit must prepare the spatial graph first")
-        if self.lam != 0.0 and get_kernel(self.update_rule).needs_dense_laplacian:
+        if get_kernel(self.update_rule).needs_dense_laplacian:
             return self._graph.dense_laplacian()
         return None
 

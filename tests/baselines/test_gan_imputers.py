@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from repro.baselines import CAMFImputer, GAINImputer, MeanImputer
+from repro.engine import FitReport
 from repro.exceptions import ValidationError
 from repro.masking import MissingSpec, inject_missing
 from repro.metrics import rms_over_mask
+from repro.obs import collecting_tracer, use_tracer
 
 
 @pytest.fixture
@@ -39,7 +41,7 @@ class TestGAIN:
         _, x_missing, mask = gan_problem
         a = GAINImputer(n_epochs=30, random_state=7).fit_impute(x_missing, mask)
         b = GAINImputer(n_epochs=30, random_state=7).fit_impute(x_missing, mask)
-        assert np.allclose(a, b)
+        assert np.array_equal(a, b)
 
     def test_training_helps_over_random_generator(self, gan_problem):
         x, x_missing, mask = gan_problem
@@ -82,3 +84,32 @@ class TestCAMF:
             CAMFImputer(gamma=-0.1)
         with pytest.raises(ValidationError):
             CAMFImputer(beta=-0.1)
+
+    def test_deterministic_given_seed(self, gan_problem):
+        _, x_missing, mask = gan_problem
+        a = CAMFImputer(n_epochs=30, random_state=7).fit_impute(x_missing, mask)
+        b = CAMFImputer(n_epochs=30, random_state=7).fit_impute(x_missing, mask)
+        assert np.array_equal(a, b)
+
+    def test_runs_fixed_budget_through_engine(self, gan_problem):
+        _, x_missing, mask = gan_problem
+        imputer = CAMFImputer(n_epochs=25, random_state=0)
+        imputer.fit_impute(x_missing, mask)
+        report = imputer.fit_report_
+        assert isinstance(report, FitReport)
+        assert report.method == "camf"
+        assert report.n_iter == 25
+        assert report.converged is False
+        assert len(report.objective_history) == 25
+        assert np.isfinite(report.objective_history).all()
+        assert report.objective_history[-1] < report.objective_history[0]
+
+    def test_fit_and_iteration_spans(self, gan_problem):
+        _, x_missing, mask = gan_problem
+        tracer = collecting_tracer()
+        with use_tracer(tracer):
+            CAMFImputer(n_epochs=4, random_state=0).fit_impute(x_missing, mask)
+        spans = [e for e in tracer.sink.events if e.get("type") == "span"]
+        fits = [e for e in spans if e["name"] == "fit"]
+        assert [e["attrs"]["solver"] for e in fits] == ["camf"]
+        assert sum(e["name"] == "iteration" for e in spans) == 4

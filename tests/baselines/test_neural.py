@@ -65,30 +65,36 @@ class TestMLPBackward:
         def loss() -> float:
             return float(((net.forward(x) - target) ** 2).sum())
 
-        net.forward(x)
-        grads, _ = net.backward(2.0 * (net._last_output - target))
-        params = net.parameters
+        out = net.forward(x)
+        net.backward(2.0 * (out - target))
+        grads = net.grads.copy()
+        params = net.params
         eps = 1e-6
-        for p_idx in range(len(params)):
-            flat = params[p_idx].ravel()
-            for entry in range(0, flat.size, max(1, flat.size // 3)):
-                original = flat[entry]
-                flat[entry] = original + eps
+        # Probe a few entries of every weight matrix and bias (views into
+        # the flat vector) by perturbing the flat vector in place.
+        offset = 0
+        for block in [a for pair in zip(net.weights, net.biases) for a in pair]:
+            for entry in range(0, block.size, max(1, block.size // 3)):
+                flat_idx = offset + entry
+                original = params[flat_idx]
+                params[flat_idx] = original + eps
                 up = loss()
-                flat[entry] = original - eps
+                params[flat_idx] = original - eps
                 down = loss()
-                flat[entry] = original
+                params[flat_idx] = original
                 numeric = (up - down) / (2 * eps)
-                analytic = grads[p_idx].ravel()[entry]
+                analytic = grads[flat_idx]
                 assert analytic == pytest.approx(numeric, rel=1e-3, abs=1e-5)
+            offset += block.size
+        assert offset == params.size
 
     def test_input_gradient_matches_finite_differences(self, rng):
         net = MLP([3, 5, 2], hidden_activation="tanh",
                   output_activation="linear", random_state=1)
         x = rng.random((4, 3))
         target = rng.random((4, 2))
-        net.forward(x)
-        _, grad_in = net.backward(2.0 * (net._last_output - target))
+        out = net.forward(x)
+        grad_in = net.backward(2.0 * (out - target))
         eps = 1e-6
         for i in range(2):
             for j in range(3):
@@ -105,14 +111,46 @@ class TestMLPBackward:
             net.backward(np.zeros((1, 2)))
 
 
+class TestFlatLayout:
+    def test_weights_and_biases_are_views_of_params(self):
+        net = MLP([3, 4, 2], random_state=0)
+        assert net.params.size == 3 * 4 + 4 + 4 * 2 + 2
+        assert net.grads.shape == net.params.shape
+        for block in (*net.weights, *net.biases):
+            assert np.shares_memory(block, net.params)
+        net.params[:12] = 0.0
+        assert not net.weights[0].any()
+
+    def test_in_place_update_changes_forward(self, rng):
+        net = MLP([3, 4, 2], output_activation="linear", random_state=0)
+        x = rng.random((5, 3))
+        before = net.forward(x).copy()
+        net.params += 0.1
+        assert not np.allclose(net.forward(x), before)
+
+    def test_backward_flags(self, rng):
+        net = MLP([3, 5, 2], random_state=2)
+        x = rng.random((6, 3))
+        g = rng.random((6, 2))
+        net.forward(x)
+        grad_in = net.backward(g)
+        full = net.grads.copy()
+        net.grads[:] = -1.0
+        assert net.backward(g, input_grad=False) is None
+        np.testing.assert_array_equal(net.grads, full)
+        net.grads[:] = -1.0
+        np.testing.assert_array_equal(net.backward(g, param_grads=False), grad_in)
+        assert (net.grads == -1.0).all()
+
+
 class TestAdam:
     def test_minimises_quadratic(self):
-        params = [np.array([5.0])]
+        params = np.array([5.0])
         optimizer = Adam(learning_rate=0.1)
         for _ in range(500):
-            grads = [2.0 * params[0]]
-            params = optimizer.step(params, grads)
-        assert abs(params[0][0]) < 1e-2
+            grads = 2.0 * params
+            optimizer.step(params, grads)
+        assert abs(params[0]) < 1e-2
 
     def test_training_reduces_loss(self, rng):
         net = MLP([2, 8, 1], output_activation="linear", random_state=0)
@@ -123,13 +161,13 @@ class TestAdam:
         for _ in range(200):
             out = net.forward(x)
             losses.append(float(((out - target) ** 2).mean()))
-            grads, _ = net.backward(2.0 * (out - target) / x.shape[0])
-            net.apply_updates(optimizer.step(net.parameters, grads))
+            net.backward(2.0 * (out - target) / x.shape[0], input_grad=False)
+            optimizer.step(net.params, net.grads)
         assert losses[-1] < 0.3 * losses[0]
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
-            Adam().step([np.zeros(2)], [])
+            Adam().step(np.zeros(2), np.zeros(0))
 
     def test_invalid_learning_rate(self):
         with pytest.raises(ValidationError):

@@ -30,7 +30,7 @@ SPEED_OVERRIDES = {
 
 #: Names expected to publish engine telemetry after fit_impute.
 ENGINE_DRIVEN = {
-    "mc", "softimpute", "iterative", "gain",
+    "mc", "softimpute", "iterative", "gain", "camf",
     "nmf", "smf", "smfl", *STOCHASTIC_VARIANTS,
 }
 

@@ -117,3 +117,73 @@ class TestNeighborMethod:
         for other in models[1:]:
             assert other.similarity_ is models[0].similarity_
             assert np.array_equal(other.u_, models[0].u_)
+
+
+class _GraphAtZero(SMF):
+    """Builds and holds the spatial graph even at ``lam == 0``, as SMF
+    did before it learned to skip the build: the reference the skip
+    must not change."""
+
+    def _prepare_fit(self, x, x_observed, mask):
+        lam, self.lam = self.lam, 1.0
+        try:
+            super()._prepare_fit(x, x_observed, mask)
+        finally:
+            self.lam = lam
+
+
+def _graph_misses() -> int:
+    from repro.obs import get_metrics
+
+    return get_metrics().counter("spatial_graph_cache.misses").value
+
+
+class TestZeroLambdaSkipsGraph:
+    @pytest.mark.parametrize("cls", [SMF, SMFL])
+    def test_no_graph_build(self, cls):
+        x, mask = lake_trial(200)
+        before = _graph_misses()
+        model = cls(rank=3, n_spatial=2, lam=0.0, max_iter=5, random_state=0)
+        model.fit(x, mask)
+        assert _graph_misses() == before
+        assert graph_cache_info()["entries"] == 0
+        assert model.similarity_ is None
+        assert model.degree_ is None
+        assert model.laplacian_ is None
+        # A nonzero lam still builds (and counts) the graph.
+        cls(rank=3, n_spatial=2, lam=0.1, max_iter=5, random_state=0).fit(x, mask)
+        assert _graph_misses() == before + 1
+
+    @pytest.mark.parametrize("rule,extra", [
+        ("multiplicative", {}),
+        ("gradient", {"learning_rate": 1e-3}),
+        ("sgd", {"learning_rate": 1e-3, "batch_size": 32}),
+    ])
+    def test_factors_match_graph_holding_fit(self, rule, extra):
+        x, mask = lake_trial(150)
+        kwargs = dict(rank=3, n_spatial=2, lam=0.0, max_iter=20, tol=0.0,
+                      update_rule=rule, random_state=1, **extra)
+        reference = _GraphAtZero(**kwargs).fit(x, mask)
+        assert reference.similarity_ is not None
+        model = SMF(**kwargs).fit(x, mask)
+        np.testing.assert_array_equal(model.u_, reference.u_)
+        np.testing.assert_array_equal(model.v_, reference.v_)
+        assert model.objective_history_ == reference.objective_history_
+
+    def test_batched_mix_of_zero_and_nonzero_lam(self):
+        from repro.core.batched_fit import fit_models_batched
+
+        x, mask = lake_trial(120)
+        lams = (0.0, 0.1, 0.0, 0.5)
+
+        def models():
+            return [SMF(rank=3, n_spatial=2, lam=lam, max_iter=15, tol=0.0,
+                        random_state=i) for i, lam in enumerate(lams)]
+
+        batched = models()
+        fit_models_batched([(m, x, mask) for m in batched])
+        for mb, ml in zip(batched, models()):
+            ml.fit(x, mask)
+            np.testing.assert_array_equal(mb.u_, ml.u_)
+            np.testing.assert_array_equal(mb.v_, ml.v_)
+            assert mb.objective_history_ == ml.objective_history_
